@@ -121,16 +121,16 @@ impl<F: Field> MultilinearPoly<F> {
 /// This is the multilinear extension of the Kronecker delta at `tau`,
 /// central to the Spartan-style sum-checks.
 pub fn eq_table<F: Field>(tau: &[F]) -> Vec<F> {
-    let mut table = vec![F::ONE];
-    for &t in tau {
-        let mut next = vec![F::ZERO; table.len() * 2];
-        let (lo, hi) = next.split_at_mut(table.len());
-        for (i, &v) in table.iter().enumerate() {
-            let high = v * t;
-            hi[i] = high;
-            lo[i] = v - high;
+    let mut table = vec![F::ZERO; 1 << tau.len()];
+    table[0] = F::ONE;
+    // After step i the first 2^(i+1) entries hold eq(tau_1..tau_{i+1}, ·);
+    // each step splits every entry into its x_{i+1} = 0 and 1 halves.
+    for (i, &t) in tau.iter().enumerate() {
+        let (lo, hi) = table[..2 << i].split_at_mut(1 << i);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            *h = *l * t;
+            *l -= *h;
         }
-        table = next;
     }
     table
 }

@@ -70,20 +70,20 @@ impl<F: Field> SparseTriplets<F> {
         out
     }
 
-    /// Computes the row-bound combination `m(y) = Σ_x eq_x[x] · M(x, y)` as
-    /// a dense vector over columns (the polynomial of Spartan's second
-    /// sum-check).
+    /// Adds the row-bound combination `m(y) = Σ_x eq_x[x] · M(x, y)` into
+    /// `out`, a dense vector over columns (the polynomial of Spartan's
+    /// second sum-check). One multiply per non-zero entry; callers that
+    /// combine several matrices pre-scale `eq_x` and share one `out`.
     ///
     /// # Panics
     ///
-    /// Panics if `eq_x.len() < self.rows()`.
-    pub fn bind_rows(&self, eq_x: &[F]) -> Vec<F> {
+    /// Panics if `eq_x.len() < self.rows()` or `out.len() < self.cols()`.
+    pub fn bind_rows(&self, eq_x: &[F], out: &mut [F]) {
         assert!(eq_x.len() >= self.rows, "eq table too small");
-        let mut out = vec![F::ZERO; self.cols];
+        assert!(out.len() >= self.cols, "output too small");
         for &(r, c, v) in &self.entries {
             out[c] += v * eq_x[r];
         }
-        out
     }
 
     /// Evaluates the matrix MLE `M̃(rx, ry)` in `O(nnz)` given precomputed
@@ -466,7 +466,8 @@ mod tests {
         let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
         let rx: Vec<Fr> = (0..log_m).map(|_| Fr::random(&mut rng)).collect();
         let eq_rx = eq_table(&rx);
-        let bound = r1cs.a.bind_rows(&eq_rx);
+        let mut bound = vec![Fr::ZERO; r1cs.z_len()];
+        r1cs.a.bind_rows(&eq_rx, &mut bound);
         // Check one random column against the triplet sum.
         for col in [0usize, 1, r1cs.z_len() - 1] {
             let direct: Fr = r1cs
@@ -492,12 +493,9 @@ mod tests {
         let eq_rx = eq_table(&rx);
         let eq_ry = eq_table(&ry);
         for m in [&r1cs.a, &r1cs.b, &r1cs.c] {
-            let via_bind: Fr = m
-                .bind_rows(&eq_rx)
-                .iter()
-                .zip(&eq_ry)
-                .map(|(a, b)| *a * *b)
-                .sum();
+            let mut bound = vec![Fr::ZERO; r1cs.z_len()];
+            m.bind_rows(&eq_rx, &mut bound);
+            let via_bind: Fr = bound.iter().zip(&eq_ry).map(|(a, b)| *a * *b).sum();
             assert_eq!(m.mle_eval(&eq_rx, &eq_ry), via_bind);
         }
     }

@@ -174,7 +174,6 @@ pub fn run_sumchecks<F: Field>(
     // The outer constraint sum-check.
     let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
     let tau: Vec<F> = transcript.challenge_fields(b"tau", log_m);
-    let eq_tau = MultilinearPoly::new(eq_table(&tau));
     let pad = |mut v: Vec<F>| {
         v.resize(r1cs.padded_constraints(), F::ZERO);
         MultilinearPoly::new(v)
@@ -182,22 +181,32 @@ pub fn run_sumchecks<F: Field>(
     let az = pad(r1cs.a.mul_vec(z));
     let bz = pad(r1cs.b.mul_vec(z));
     let cz = pad(r1cs.c.mul_vec(z));
-    let sc1 = prove_cubic_eq(&eq_tau, &az, &bz, &cz, transcript);
+    // A satisfying assignment zeroes every term, so the claim is zero; an
+    // unsatisfying one yields rounds the verifier's final check rejects.
+    let sc1 = prove_cubic_eq(&tau, F::ZERO, az, bz, cz, transcript);
     let (va, vb, vc) = (sc1.final_evals[1], sc1.final_evals[2], sc1.final_evals[3]);
     transcript.absorb_fields(b"sc1-claims", &[va, vb, vc]);
 
-    // Batched matrix-opening sum-check.
+    // Batched matrix-opening sum-check over
+    // m(y) = Σ_M γ_M·Σ_x eq(rx, x)·M(x, y), bound in one pass per matrix
+    // with γ folded into the eq table.
     let gamma: Vec<F> = transcript.challenge_fields(b"gamma", 3);
     let eq_rx = eq_table(&sc1.point());
     let mut m_combo = vec![F::ZERO; r1cs.z_len()];
-    for (g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
-        for (slot, v) in m_combo.iter_mut().zip(m.bind_rows(&eq_rx)) {
-            *slot += *g * v;
+    let mut scaled_eq = vec![F::ZERO; eq_rx.len()];
+    for (&g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
+        for (s, &e) in scaled_eq.iter_mut().zip(&eq_rx) {
+            *s = g * e;
         }
+        m.bind_rows(&scaled_eq, &mut m_combo);
     }
-    let m_poly = MultilinearPoly::new(m_combo);
-    let z_poly = MultilinearPoly::new(z.to_vec());
-    let sc2 = prove_quadratic(&m_poly, &z_poly, transcript);
+    let claim2 = gamma[0] * va + gamma[1] * vb + gamma[2] * vc;
+    let sc2 = prove_quadratic(
+        MultilinearPoly::new(m_combo),
+        MultilinearPoly::new(z.to_vec()),
+        claim2,
+        transcript,
+    );
     let point_y = sc2.point();
 
     SumcheckPart {

@@ -7,7 +7,9 @@ use std::sync::Arc;
 use batchzk::field::{Field, Fr};
 use batchzk::gpu_sim::{DeviceProfile, Gpu};
 use batchzk::zkp::r1cs::synthetic_r1cs;
-use batchzk::zkp::{prove, prove_batch, verify, PcsParams, Proof};
+use batchzk::zkp::{
+    prove, prove_batch, prove_batch_with, verify, PcsParams, Proof, ProverBackend, SpartanBackend,
+};
 
 fn params() -> PcsParams {
     PcsParams {
@@ -114,6 +116,66 @@ fn public_input_substitution_rejected() {
     let mut other = inputs.clone();
     other[0] += Fr::ONE;
     assert!(!verify(&p, &r1cs, &other, &proof));
+}
+
+#[test]
+fn unsatisfying_witness_yields_rejected_proof() {
+    // The batch prover does not check satisfaction, and its first
+    // sum-check derives s(1) from the zero claim, so round 1 balances even
+    // for a false statement. The verifier's final checks must still
+    // reject the proof, at every tampered position tried.
+    let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(256, 21);
+    let backend = SpartanBackend::new(Arc::new(r1cs), params());
+    let instances: Vec<_> = [0usize, 1, 100, witness.len() - 1]
+        .iter()
+        .map(|&i| {
+            let mut bad = witness.clone();
+            bad[i] += Fr::ONE;
+            let z = backend.r1cs().assemble_z(&inputs, &bad);
+            assert!(!backend.r1cs().is_satisfied(&z), "index {i}");
+            (inputs.clone(), bad)
+        })
+        .collect();
+    let mut gpu = Gpu::new(DeviceProfile::a100());
+    let run = prove_batch_with(&mut gpu, &backend, instances, 4096, true).expect("fits");
+    assert_eq!(run.proofs.len(), 4);
+    for (statement, proof) in &run.proofs {
+        assert!(!backend.verify(statement, proof));
+    }
+}
+
+/// SHA-256 over the canonical bytes of a proof's transcript-visible parts:
+/// commitment root, both sum-checks' round polynomials, the claimed
+/// evaluations, and the opening's combined row.
+fn proof_digest(proof: &Proof<Fr>) -> String {
+    let mut h = batchzk::hash::Sha256::new();
+    h.update(&proof.commitment.root);
+    for round in proof.sc1.rounds.iter().chain(&proof.sc2.rounds) {
+        for v in round {
+            h.update(&v.to_bytes());
+        }
+    }
+    for v in [proof.va, proof.vb, proof.vc, proof.w_eval] {
+        h.update(&v.to_bytes());
+    }
+    for v in &proof.opening.combined_row {
+        h.update(&v.to_bytes());
+    }
+    h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn spartan_proof_bytes_are_pinned() {
+    // Any prover rewrite must emit the same field elements: round
+    // polynomials are determined by the tables, not by how they are
+    // computed. A digest change means the proof format or protocol moved.
+    let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(1024, 11);
+    let proof = prove(&params(), &r1cs, &inputs, &witness);
+    assert!(verify(&params(), &r1cs, &inputs, &proof));
+    assert_eq!(
+        proof_digest(&proof),
+        "57c84bc3e8abc1b850d6e8c9d2dcff48a84e2867783dd89b79bfbbcc95b05332"
+    );
 }
 
 #[test]
