@@ -2843,13 +2843,30 @@ pub fn profile(scale: &Scale) -> String {
 
 /// The `profile` experiment as a machine-readable JSON artifact
 /// (`PROFILE.json`). Structure, names, op counts, and sizes are
-/// byte-deterministic at a given scale; only the timing values vary.
+/// byte-deterministic at a given scale on a given host and build; only
+/// the timing values vary. The host's core count and the compiled-in
+/// target features ride along, since every timing depends on both.
 pub fn profile_json(scale: &Scale) -> String {
     use batchzk_metrics::registry::format_f64;
     use std::fmt::Write as _;
 
     let study = profile_study(scale);
-    let mut out = format!("{{\"profile\":{{\"log_n\":{},\"kernels\":[", study.log_n);
+    let features: Vec<String> = [
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("sha", cfg!(target_feature = "sha")),
+        ("bmi2", cfg!(target_feature = "bmi2")),
+    ]
+    .into_iter()
+    .filter(|&(_, on)| on)
+    .map(|(name, _)| format!("\"{name}\""))
+    .collect();
+    let mut out = format!(
+        "{{\"profile\":{{\"log_n\":{},\"host_cores\":{},\"target_features\":[{}],\"kernels\":[",
+        study.log_n,
+        batchzk_par::host_cores(),
+        features.join(",")
+    );
     for (i, k) in study.kernels.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -3125,6 +3142,8 @@ mod tests {
         for field in [
             "\"profile\":{",
             "\"log_n\":8",
+            "\"host_cores\":",
+            "\"target_features\":[",
             "\"kernels\":[",
             "\"phases\":[",
             "\"total_ms\":",

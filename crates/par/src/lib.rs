@@ -6,14 +6,14 @@
 //! embarrassingly parallel streams, yet a naive `thread::spawn` free-for-all
 //! would destroy the byte-determinism the bench trajectory is built on.
 //!
-//! This crate is the middle path: a dependency-free *scoped work-stealing*
+//! This crate is the middle path: a dependency-free *scoped claim-loop*
 //! pool (hermetic, std-only, matching the repo's no-external-deps rule) with
-//! **deterministic result ordering**. Workers race over a shared index
-//! space — each worker owns a contiguous range and steals from the back of
-//! other workers' ranges when its own runs dry — but every result is
-//! written back into its input's slot, so the output `Vec` is byte-identical
-//! to the `threads = 1` run no matter how the race unfolds. Parallelism may
-//! only change wall-clock time, never bytes.
+//! **deterministic result ordering**. The caller and its spawned workers
+//! claim items one at a time, in input order, from one shared queue — a
+//! worker that finishes early just claims the next item — but every result
+//! is written back into its input's slot, so the output `Vec` is
+//! byte-identical to the `threads = 1` run no matter how the race unfolds.
+//! Parallelism may only change wall-clock time, never bytes.
 //!
 //! Thread count resolution (first match wins):
 //! 1. an explicit count passed by the caller (`*_with` variants),
@@ -40,7 +40,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// Process-wide thread-count override; 0 means "not set".
@@ -95,84 +96,47 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// One worker's deque of still-unclaimed indices, packed `(start << 32) |
-/// end` so an owner claim (front) and a steal (back) are single CAS
-/// operations on one word.
-struct Range(AtomicU64);
-
-impl Range {
-    fn new(start: usize, end: usize) -> Self {
-        Self(AtomicU64::new(pack(start as u64, end as u64)))
-    }
-
-    /// Owner path: claim the next index from the front.
-    fn claim_front(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(s + 1, e),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(s as usize),
-                Err(seen) => cur = seen,
-            }
+/// The one claim loop behind every fan-out. The caller plus `workers - 1`
+/// scoped threads each call `next` until it returns `None`; one call
+/// claims the next unclaimed item, runs it and returns its input index
+/// with the result, so a worker that finishes early simply claims the
+/// next item. The `(index, result)` pairs are scattered back into index
+/// order, so the output never depends on which worker ran what.
+fn claim_loop<R: Send>(
+    workers: usize,
+    n: usize,
+    next: impl Fn() -> Option<(usize, R)> + Sync,
+) -> Vec<R> {
+    let drain = || {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        while let Some(pair) = next() {
+            local.push(pair);
         }
-    }
-
-    /// Thief path: steal one index from the back.
-    fn steal_back(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (s, e) = unpack(cur);
-            if s >= e {
-                return None;
+        local
+    };
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut scatter = |pairs: Vec<(usize, R)>| {
+            for (i, r) in pairs {
+                slots[i] = Some(r);
             }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(s, e - 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((e - 1) as usize),
-                Err(seen) => cur = seen,
-            }
+        };
+        scatter(drain());
+        for h in handles {
+            scatter(h.join().expect("batchzk-par worker panicked"));
         }
-    }
-}
-
-fn pack(start: u64, end: u64) -> u64 {
-    (start << 32) | end
-}
-
-fn unpack(v: u64) -> (u64, u64) {
-    (v >> 32, v & 0xffff_ffff)
-}
-
-/// Splits `0..n` into `workers` contiguous ranges (the static seed of the
-/// work-stealing race; remainders go to the leading workers).
-fn seed_ranges(n: usize, workers: usize) -> Vec<Range> {
-    let base = n / workers;
-    let extra = n % workers;
-    let mut start = 0usize;
-    (0..workers)
-        .map(|w| {
-            let len = base + usize::from(w < extra);
-            let r = Range::new(start, start + len);
-            start += len;
-            r
-        })
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index claimed exactly once"))
         .collect()
 }
 
 /// Applies `f` to every index in `0..n` on up to `threads` workers and
 /// returns the results **in index order** — byte-identical to
 /// `(0..n).map(f).collect()` regardless of thread count or interleaving.
+/// Workers claim indices in ascending order from one shared cursor.
 ///
 /// `threads <= 1` (and `n <= 1`) short-circuits to a fully inline serial
 /// loop: no threads are spawned, no atomics touched.
@@ -184,46 +148,13 @@ where
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    assert!(n < u32::MAX as usize, "index space exceeds packed range");
-    let workers = threads.min(n);
-    let ranges = seed_ranges(n, workers);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let ranges = &ranges;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // Drain the worker's own range from the front...
-                        if let Some(i) = ranges[w].claim_front() {
-                            local.push((i, f(i)));
-                            continue;
-                        }
-                        // ...then steal from the back of the others.
-                        let victim = (0..workers)
-                            .map(|k| (w + 1 + k) % workers)
-                            .find_map(|v| ranges[v].steal_back());
-                        match victim {
-                            Some(i) => local.push((i, f(i))),
-                            None => break,
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("batchzk-par worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
+    // The cursor publishes no data (results return through the joins),
+    // so `Relaxed` suffices: each index is still handed out exactly once.
+    let cursor = AtomicUsize::new(0);
+    claim_loop(threads.min(n), n, || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        (i < n).then(|| (i, f(i)))
+    })
 }
 
 /// [`par_map_indexed_with`] at the [`current_threads`] count.
@@ -257,9 +188,11 @@ where
 }
 
 /// Applies `f` to every element of `items` by `&mut`, returning the
-/// per-element results in input order. Elements are dealt to workers in
-/// contiguous chunks (exclusive `&mut` access rules out back-stealing);
-/// with independent per-element work the static split balances well.
+/// per-element results in input order. Workers claim `(index, &mut T)`
+/// pairs one at a time from a shared iterator (the lock is held only for
+/// the claim, never while `f` runs), so items are *started* in input
+/// order: a caller that lists its longest items first gets a greedy
+/// longest-processing-time-first schedule.
 pub fn par_map_mut_with<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -270,34 +203,13 @@ where
     if threads <= 1 || n <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let workers = threads.min(n);
-    let base = n / workers;
-    let extra = n % workers;
-    let mut out: Vec<Vec<R>> = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = items;
-        let mut start = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let f = &f;
-            let first = start;
-            handles.push(scope.spawn(move || {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, t)| f(first + k, t))
-                    .collect::<Vec<R>>()
-            }));
-            start += len;
-        }
-        for h in handles {
-            out.push(h.join().expect("batchzk-par worker panicked"));
-        }
-    });
-    out.into_iter().flatten().collect()
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    claim_loop(threads.min(n), n, || {
+        // The guard is a temporary of this statement: the lock is
+        // released before `f` runs.
+        let (i, item) = queue.lock().expect("claim lock poisoned").next()?;
+        Some((i, f(i, item)))
+    })
 }
 
 /// [`par_map_mut_with`] at the [`current_threads`] count.
@@ -326,9 +238,8 @@ mod tests {
 
     #[test]
     fn skewed_work_is_stolen_and_stays_ordered() {
-        // One pathologically slow item at the front of worker 0's range:
-        // the other workers drain the rest by stealing, and the output is
-        // still index-ordered.
+        // One pathologically slow item claimed first: the other workers
+        // claim and drain the rest, and the output is still index-ordered.
         let n = 64usize;
         let out = par_map_indexed_with(4, n, |i| {
             if i == 0 {
@@ -380,22 +291,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seed_ranges_cover_index_space_exactly() {
-        for n in [1usize, 5, 16, 17, 1000] {
-            for workers in [1usize, 2, 3, 7, 16] {
-                let ranges = seed_ranges(n, workers);
-                let mut total = 0usize;
-                let mut next = 0u64;
-                for r in &ranges {
-                    let (s, e) = unpack(r.0.load(Ordering::Relaxed));
-                    assert_eq!(s, next, "ranges are contiguous");
-                    total += (e - s) as usize;
-                    next = e;
-                }
-                assert_eq!(total, n, "n={n} workers={workers}");
+    /// Spins (politely) until `done()` holds or ten seconds pass; returns
+    /// whether it held. The deadline turns a scheduling bug into a test
+    /// failure instead of a hang.
+    fn wait_until(done: impl Fn() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            if std::time::Instant::now() > deadline {
+                return false;
             }
+            thread::sleep(std::time::Duration::from_micros(50));
         }
+        true
+    }
+
+    #[test]
+    fn par_map_mut_claims_items_in_input_order() {
+        // Every item holds its worker until the test releases it, and the
+        // test releases items one at a time in index order once every
+        // worker holds one. Each release frees exactly one worker, so the
+        // order in which items start is the order they are claimed: after
+        // the first `threads` (claimed at once), the k-th claim ticket
+        // must be item k.
+        let n = 12usize;
+        for threads in [2usize, 3, 4] {
+            let tickets = Mutex::new(Vec::new());
+            let released = AtomicUsize::new(0);
+            let mut items = vec![0usize; n];
+            let mut stalled = false;
+            thread::scope(|scope| {
+                scope.spawn(|| {
+                    par_map_mut_with(threads, &mut items, |i, v| {
+                        tickets.lock().unwrap().push(i);
+                        wait_until(|| released.load(Ordering::Acquire) > i);
+                        *v = i;
+                    })
+                });
+                for r in 0..n {
+                    let want = (r + threads).min(n);
+                    if !wait_until(|| tickets.lock().unwrap().len() >= want) {
+                        stalled = true;
+                        break;
+                    }
+                    released.store(r + 1, Ordering::Release);
+                }
+                released.store(usize::MAX, Ordering::Release);
+            });
+            assert!(
+                !stalled,
+                "threads={threads}: an item was claimed out of order"
+            );
+            let tickets = tickets.into_inner().unwrap();
+            let mut first: Vec<usize> = tickets[..threads].to_vec();
+            first.sort_unstable();
+            assert_eq!(first, (0..threads).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(
+                tickets[threads..],
+                (threads..n).collect::<Vec<_>>()[..],
+                "threads={threads}"
+            );
+            assert_eq!(items, (0..n).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_call_without_hanging() {
+        for threads in [1usize, 2, 4] {
+            let mut items = vec![0u64; 16];
+            let mutated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_map_mut_with(threads, &mut items, |i, v| {
+                    assert_ne!(i, 5, "item 5 fails");
+                    *v += 1;
+                })
+            }));
+            assert!(mutated.is_err(), "threads={threads}: par_map_mut_with");
+            let indexed = std::panic::catch_unwind(|| {
+                par_map_indexed_with(threads, 16, |i| {
+                    assert_ne!(i, 5, "item 5 fails");
+                    i
+                })
+            });
+            assert!(indexed.is_err(), "threads={threads}: par_map_indexed_with");
+        }
+    }
+
+    #[test]
+    fn par_map_mut_slow_first_item_does_not_hold_back_the_rest() {
+        // Item 0 does not finish until every other item has: under the
+        // claim loop its worker is the only one held up, and the other
+        // worker claims and runs everything else. A static split would
+        // leave half the items queued behind item 0 and stall here.
+        let n = 32usize;
+        let done = AtomicUsize::new(0);
+        let mut items: Vec<Option<thread::ThreadId>> = vec![None; n];
+        let finished = par_map_mut_with(2, &mut items, |i, who| {
+            *who = Some(thread::current().id());
+            if i == 0 {
+                wait_until(|| done.load(Ordering::Acquire) == n - 1)
+            } else {
+                done.fetch_add(1, Ordering::AcqRel);
+                true
+            }
+        });
+        assert!(finished[0], "item 0 waited on items stuck behind it");
+        let slow = items[0].expect("item 0 ran");
+        let rest = items[1].expect("item 1 ran");
+        assert_ne!(slow, rest);
+        assert!(items[1..].iter().all(|w| *w == Some(rest)));
     }
 
     #[test]

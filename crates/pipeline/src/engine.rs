@@ -15,8 +15,10 @@
 //! produces one [`StageStats`] per stage — the per-stage occupancy and
 //! stall decomposition behind the paper's Figure 4 timelines.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::fmt;
+use std::time::Instant;
 
 use batchzk_gpu_sim::{Dir, Gpu, KernelStep, MemHandle, Transfer, Work};
 use batchzk_metrics::Span;
@@ -297,6 +299,10 @@ pub struct PipelineExecutor<'g, T> {
     latencies: Vec<u64>,
     lifecycles: Vec<Span>,
     accs: Vec<StageAcc>,
+    /// Host ns each stage's `process` call took the last time it ran: the
+    /// longest-first dispatch order of the next step, never simulated or
+    /// serialized.
+    host_ns: Vec<u64>,
     in_flight: usize,
     admitted: usize,
     epoch_start_cycles: u64,
@@ -332,6 +338,7 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
             latencies: Vec::new(),
             lifecycles: Vec::new(),
             accs: (0..num_stages).map(|_| StageAcc::default()).collect(),
+            host_ns: vec![0; num_stages],
             in_flight: 0,
             admitted: 0,
             epoch_start_cycles,
@@ -348,7 +355,9 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
     /// Sets how many host threads the per-slot payload computation may fan
     /// out across (min 1; default 1 — fully inline serial processing).
     /// Each occupied slot holds a distinct in-flight task, so the payloads
-    /// are independent; results are always collected back in slot order,
+    /// are independent. Each step hands the slots to the threads
+    /// longest-first, ranked by the host time every stage's `process` call
+    /// took when it last ran; results are always put back in slot order,
     /// making every output and statistic byte-identical to the serial run.
     pub fn set_host_threads(&mut self, threads: usize) {
         self.host_threads = threads.max(1);
@@ -485,27 +494,43 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
         // Execute all occupied stages concurrently. Each occupied slot
         // holds a *distinct* in-flight task, so the real per-slot payloads
         // (leaf hashing, round folding, column encoding) are independent
-        // and fan out across the host thread pool. Results come back in
-        // slot order, so the kernel list, transfers and accounting below
-        // are byte-identical to the serial run at any thread count.
+        // and fan out across the host thread pool. Slots are handed out
+        // longest-first by the host time each stage took on the previous
+        // step (greedy LPT on the pool's in-order claim loop); that clock
+        // reading only picks which host thread runs which slot. The works
+        // are put back in slot order before anything touches the device,
+        // so the kernel list, transfers and accounting below are
+        // byte-identical to the serial run at any thread count.
         let stages = &self.stages;
+        let host_ns = &mut self.host_ns;
         let mut occupied: Vec<(usize, &mut Slot<T>)> = self
             .slots
             .iter_mut()
             .enumerate()
             .filter_map(|(i, s)| s.as_mut().map(|slot| (i, slot)))
             .collect();
-        let works: Vec<StageWork> =
+        occupied.sort_by_key(|(i, _)| Reverse(host_ns[*i]));
+        let timed: Vec<(StageWork, u64)> =
             batchzk_par::par_map_mut_with(self.host_threads, &mut occupied, |_, (i, slot)| {
-                stages[*i].process(&mut slot.task)
+                let start = Instant::now();
+                let work = stages[*i].process(&mut slot.task);
+                (work, start.elapsed().as_nanos() as u64)
             });
+        let mut works: Vec<(usize, &mut Slot<T>, StageWork)> = occupied
+            .into_iter()
+            .zip(timed)
+            .map(|((i, slot), (sw, ns))| {
+                host_ns[i] = ns;
+                (i, slot, sw)
+            })
+            .collect();
+        works.sort_unstable_by_key(|(i, _, _)| *i);
 
         let mut kernels: Vec<KernelStep> = Vec::new();
         let mut kernel_stage: Vec<usize> = Vec::new();
         let mut transfers: Vec<Transfer> = Vec::new();
         let mut mem_updates: Vec<(usize, u64)> = Vec::new();
-        for ((i, slot), sw) in occupied.iter_mut().zip(works) {
-            let i = *i;
+        for (i, slot, sw) in works {
             self.accs[i].h2d += sw.h2d_bytes;
             self.accs[i].d2h += sw.d2h_bytes;
             slot.span.add_bytes(sw.h2d_bytes, sw.d2h_bytes);
@@ -529,7 +554,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
             }
             mem_updates.push((i, sw.mem_after));
         }
-        drop(occupied);
 
         // Apply memory footprints (alloc new before freeing old, so the
         // transient overlap of a copy shows up in the peak).
@@ -1206,6 +1230,102 @@ mod tests {
         assert_eq!(via_run.stats.total_cycles, via_exec.stats.total_cycles);
         assert_eq!(via_run.stats.stage_stats, via_exec.stats.stage_stats);
         assert_eq!(g1.elapsed_cycles(), g2.elapsed_cycles());
+    }
+
+    /// Busy-waits `spin_us` of host time, then mixes `amount` into the
+    /// task; its simulated cost and footprint also depend on `amount`.
+    struct SpinStage {
+        amount: u64,
+        spin_us: u64,
+    }
+
+    impl PipeStage<u64> for SpinStage {
+        fn name(&self) -> String {
+            format!("spin-{}", self.amount)
+        }
+        fn threads(&self) -> u32 {
+            32
+        }
+        fn process(&self, task: &mut u64) -> StageWork {
+            let start = Instant::now();
+            while start.elapsed() < std::time::Duration::from_micros(self.spin_us) {
+                std::hint::spin_loop();
+            }
+            *task = task.wrapping_mul(31) + self.amount;
+            StageWork {
+                work: Work::Uniform {
+                    units: 32,
+                    cycles_per_unit: 100 * self.amount,
+                },
+                h2d_bytes: self.amount,
+                d2h_bytes: 0,
+                mem_after: 64 * self.amount,
+            }
+        }
+    }
+
+    /// Four stages whose host time grows with the slot index, so once
+    /// every stage has run the longest-first order (3, 2, 1, 0) is the
+    /// reverse of slot order.
+    fn spin_stages() -> Vec<BoxedStage<u64>> {
+        [(1, 0), (2, 200), (3, 1000), (4, 5000)]
+            .into_iter()
+            .map(|(amount, spin_us)| -> BoxedStage<u64> { Box::new(SpinStage { amount, spin_us }) })
+            .collect()
+    }
+
+    #[test]
+    fn longest_first_dispatch_is_byte_identical_across_host_threads() {
+        // Outputs, stats and lifecycles must not notice the dispatch order.
+        let run_at = |threads: usize| {
+            let mut gpu = Gpu::new(DeviceProfile::v100());
+            let mut exec = PipelineExecutor::new(&mut gpu, spin_stages(), true);
+            exec.set_host_threads(threads);
+            exec.set_queue_capacity(12);
+            for t in 0..12u64 {
+                exec.submit(t).expect("queue sized to batch");
+            }
+            let run = exec.drain().expect("fits");
+            assert!(
+                exec.host_ns[3] > exec.host_ns[0],
+                "slot 3 must rank before slot 0: {:?}",
+                exec.host_ns
+            );
+            run
+        };
+        let base = run_at(1);
+        for threads in [2, 4] {
+            let run = run_at(threads);
+            assert_eq!(run.outputs, base.outputs, "threads={threads}");
+            assert_eq!(
+                run.stats.lifecycles, base.stats.lifecycles,
+                "threads={threads}"
+            );
+            assert_eq!(run.stats, base.stats, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn kernels_launch_in_slot_order_under_longest_first_dispatch() {
+        // A scripted drop counts launches in submission order, so it pins
+        // the kernel list to slot order even when the host ran slot 3 first.
+        use batchzk_gpu_sim::FaultKind;
+        let mut gpu = Gpu::new(DeviceProfile::v100());
+        let mut exec = PipelineExecutor::new(&mut gpu, spin_stages(), true);
+        exec.set_host_threads(2);
+        exec.set_queue_capacity(8);
+        for t in 0..8u64 {
+            exec.submit(t).expect("fits");
+        }
+        for _ in 0..4 {
+            exec.step().expect("fill");
+        }
+        exec.gpu.push_fault(0, FaultKind::DropKernel { nth: 1 });
+        let err = exec.step().expect_err("first launch of step 5 dropped");
+        let PipelineError::KernelDropped { stage, .. } = &err else {
+            panic!("expected KernelDropped, got {err:?}");
+        };
+        assert_eq!(stage, "spin-1", "slot 0 launches first");
     }
 
     #[test]

@@ -11,6 +11,8 @@ use batchzk::hash::Prg;
 use batchzk::merkle::MerkleTree;
 use batchzk::pipeline::{encoder as penc, merkle as pmerkle, naive, sumcheck as psum};
 use batchzk::sumcheck::algorithm1;
+use batchzk::zkp::r1cs::synthetic_r1cs;
+use batchzk::zkp::{prove_batch_with, OrionBackend, PcsParams, ProverBackend, SpartanBackend};
 
 fn tree_batch(count: usize, n: usize) -> Vec<Vec<[u8; 64]>> {
     (0..count)
@@ -154,4 +156,62 @@ fn simulator_memory_is_conserved_across_module_runs() {
         .collect();
     psum::run_pipelined(&mut gpu, tasks, 512, true).expect("fits");
     assert_eq!(gpu.memory_ref().in_use(), 0);
+}
+
+/// Proves `instances` through the one-device batch pipeline with the
+/// executor's slots fanned out over `threads` host threads.
+fn prove_at<B: ProverBackend>(
+    threads: usize,
+    backend: &B,
+    instances: &[B::Instance],
+) -> batchzk::zkp::BackendBatchRun<B>
+where
+    B::Instance: Clone,
+{
+    batchzk_par::with_threads(threads, || {
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        prove_batch_with(&mut gpu, backend, instances.to_vec(), 4096, true).expect("fits")
+    })
+}
+
+#[test]
+fn batch_proofs_and_stats_are_identical_at_one_and_two_host_threads() {
+    // At two threads the executor splits every step between the caller
+    // and one spawned worker, dealing slots longest-first by measured host
+    // time; neither the proofs nor the simulated statistics may notice.
+    let params = PcsParams {
+        num_col_tests: 8,
+        ..PcsParams::default()
+    };
+    let orion = OrionBackend::<Fr>::new(8, params);
+    let instances: Vec<_> = (0..6).map(|i| orion.instance(40 + i)).collect();
+    let (one, two) = (
+        prove_at(1, &orion, &instances),
+        prove_at(2, &orion, &instances),
+    );
+    assert_eq!(one.proofs, two.proofs, "orion proofs");
+    assert_eq!(one.stats, two.stats, "orion stats");
+    assert!(one.proofs.iter().all(|(s, p)| orion.verify(s, p)));
+
+    // Distinct witnesses per slot (all but the first unsatisfying, which
+    // the batch prover still proves), so a proof that landed in the wrong
+    // slot would show.
+    let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(256, 7);
+    let spartan = SpartanBackend::new(Arc::new(r1cs), params);
+    let instances: Vec<_> = (0..6)
+        .map(|k| {
+            let mut w = witness.clone();
+            if k > 0 {
+                w[k] += Fr::ONE;
+            }
+            (inputs.clone(), w)
+        })
+        .collect();
+    let (one, two) = (
+        prove_at(1, &spartan, &instances),
+        prove_at(2, &spartan, &instances),
+    );
+    assert_eq!(one.proofs, two.proofs, "spartan proofs");
+    assert_eq!(one.stats, two.stats, "spartan stats");
+    assert!(spartan.verify(&one.proofs[0].0, &one.proofs[0].1));
 }
